@@ -145,6 +145,8 @@ def read_trajectory(path) -> Trajectory:
             vals = [float(f) for f in fields]
         except ValueError as e:
             raise TrajectoryFormatError(f"non-numeric field: {e}", path=str(path), line=lineno)
+        if not np.all(np.isfinite(vals)):
+            raise TrajectoryFormatError("non-finite field", path=str(path), line=lineno)
         t, tx, ty, tz, qx, qy, qz, qw = vals
         norm = float(np.linalg.norm([qw, qx, qy, qz]))
         if abs(norm - 1.0) > _QUAT_NORM_TOL:
@@ -305,6 +307,9 @@ def read_pointcloud(path) -> PointCloudData:
     pixels = None
     if "u" in columns:
         pixels = np.column_stack([columns["u"], columns["v"]])
+    for name, column in columns.items():
+        if not np.all(np.isfinite(column)):
+            raise PointCloudFormatError(f"non-finite {name} value", path=str(path))
     return PointCloudData(points, confidence, pixels)
 
 
@@ -347,6 +352,15 @@ def _require(doc: dict, key: str, path: str, context: str = ""):
     return doc[key]
 
 
+def _count(doc: dict, key: str, path: str, context: str = "") -> int:
+    """A required field that must be a non-negative integer (an id or a count)."""
+    value = _require(doc, key, path, context)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        where = f"{context}.{key}" if context else key
+        raise ManifestError(f"{where} must be a non-negative integer, got {value!r}", path=path)
+    return value
+
+
 def read_chunk(poses_path, points_path) -> ChunkReconstruction:
     poses_path = Path(poses_path)
     try:
@@ -361,12 +375,19 @@ def read_chunk(poses_path, points_path) -> ChunkReconstruction:
     if pixels is None:
         pixels = np.zeros((cloud.points.shape[0], 2))
 
-    chunk_id = int(_require(doc, "chunk_id", str(poses_path)))
+    if not isinstance(doc, dict):
+        raise ManifestError("top level must be an object", path=str(poses_path))
+    chunk_id = _count(doc, "chunk_id", str(poses_path))
+    frame_docs = _require(doc, "frames", str(poses_path))
+    if not isinstance(frame_docs, list):
+        raise ManifestError("frames must be a list", path=str(poses_path))
     frames = []
     offset = 0
-    for i, fd in enumerate(_require(doc, "frames", str(poses_path))):
+    for i, fd in enumerate(frame_docs):
         ctx = f"frames[{i}]"
-        n = int(_require(fd, "num_points", str(poses_path), ctx))
+        if not isinstance(fd, dict):
+            raise ManifestError(f"{ctx} must be an object", path=str(poses_path))
+        n = _count(fd, "num_points", str(poses_path), ctx)
         t = _require(fd, "translation", str(poses_path), ctx)
         q = _require(fd, "quaternion_wxyz", str(poses_path), ctx)
         intr = _require(fd, "intrinsics", str(poses_path), ctx)
@@ -375,20 +396,29 @@ def read_chunk(poses_path, points_path) -> ChunkReconstruction:
                 f"{ctx}: point counts exceed cloud size {cloud.points.shape[0]}",
                 path=str(poses_path),
             )
+        try:
+            timestamp = float(_require(fd, "timestamp", str(poses_path), ctx))
+            t = np.asarray(t, dtype=float).reshape(3)
+            q = np.asarray(q, dtype=float).reshape(4)
+            intr = [float(v) for v in intr]
+        except (TypeError, ValueError) as e:
+            raise ManifestError(f"{ctx}: {e}", path=str(poses_path))
+        if not np.all(np.isfinite([timestamp, *t, *q, *intr])):
+            raise ManifestError(f"{ctx}: non-finite pose or intrinsics", path=str(poses_path))
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > _QUAT_NORM_TOL:
             raise ManifestError(
                 f"{ctx}: quaternion norm {norm:.6g} outside tolerance", path=str(poses_path)
             )
         try:
-            intrinsics = Intrinsics(*[float(v) for v in intr])
+            intrinsics = Intrinsics(*intr)
             pose = Pose(Rotation(q, atol=_QUAT_NORM_TOL), t)
         except (TypeError, ValueError) as e:
             raise ManifestError(f"{ctx}: {e}", path=str(poses_path))
         frames.append(
             FrameRecord(
-                frame=int(_require(fd, "frame", str(poses_path), ctx)),
-                timestamp=float(_require(fd, "timestamp", str(poses_path), ctx)),
+                frame=_count(fd, "frame", str(poses_path), ctx),
+                timestamp=timestamp,
                 pose=pose,
                 intrinsics=intrinsics,
                 points=cloud.points[offset : offset + n],
@@ -578,6 +608,8 @@ def read_gauges(path) -> list[Sim3Transform]:
             s, tx, ty, tz, qx, qy, qz, qw = (float(v) for v in fields[1:])
         except ValueError as e:
             raise ManifestError(f"non-numeric field: {e}", path=str(path), line=lineno)
+        if not np.all(np.isfinite([s, tx, ty, tz, qx, qy, qz, qw])):
+            raise ManifestError("non-finite field", path=str(path), line=lineno)
         if k in out:
             raise ManifestError(f"duplicate chunk id {k}", path=str(path), line=lineno)
         try:

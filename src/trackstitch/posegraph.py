@@ -102,7 +102,6 @@ class Schedule:
     cross_edges_per_chunk: int = 20
     keyframe_stride: int = 10
     seed: int = 0
-    accumulate_cross: bool = False
 
     def __post_init__(self):
         counts = (
@@ -322,17 +321,6 @@ def select_keyframes(
     return graph.keyframes()
 
 
-def _points_of(node: FrameNode, chunks: list[ChunkReconstruction]) -> np.ndarray:
-    rec = chunks[node.chunk_id].frame_map()[node.frame]
-    return rec.points
-
-
-def _carrier(node: FrameNode, chunks: list[ChunkReconstruction]) -> Sim3Transform:
-    """Map from the node's chunk-local coordinates to current global."""
-    local = chunks[node.chunk_id].frame_map()[node.frame].pose
-    return node.pose.compose(Sim3Transform.from_pose(local).inverse())
-
-
 def _mutual_matches(tree_a, ga, gb, radius):
     """Indices (into b, into a) of mutual nearest neighbors within radius."""
     d_ab, idx_ab = tree_a.query(gb, distance_upper_bound=radius)
@@ -346,38 +334,17 @@ def _mutual_matches(tree_a, ga, gb, radius):
 _COARSE_RADII = (12.0, 6.0, 3.0, 1.5, 0.75)
 
 
-def _coarse_initial(
-    a: FrameNode,
-    b: FrameNode,
-    chunks: list[ChunkReconstruction],
-    offsets: "np.ndarray | tuple" = (),
-) -> Sim3Transform | None:
+def _coarse_initial(a, a_inv, tree_a, ga, pts_b, lift_b_inv, seeds):
     """Pre-align b against a so the strict matcher has a fighting chance.
 
     Mutual matching at 0.5 m cannot absorb multi-meter misalignment, so
-    candidate relatives are polished coarse to fine first: mutual nearest
-    neighbors at a shrinking radius, refit by a similarity at each level.
-    Seeds are the current relative estimate plus collocation hypotheses at
-    the given along-view offsets (a revisit on a track differs mostly in
-    where along the lane it sits).  Returns the polished relative guess
-    with the most matches at the strict radius, or None if every seed
-    loses the point clouds.
+    every seed (a candidate relative of b in a) is polished coarse to fine
+    first: mutual nearest neighbors at a shrinking radius, refit by a
+    similarity at each level.  Returns the polished relative with the most
+    matches at the strict radius together with b's points lifted by it, or
+    None if every seed loses the point clouds.
     """
-    pts_a = _points_of(a, chunks)
-    pts_b = _points_of(b, chunks)
-    if min(len(pts_a), len(pts_b)) < 4:
-        return None
-    ga = _carrier(a, chunks).apply(pts_a)
-    tree_a = cKDTree(ga)
-    local_b = chunks[b.chunk_id].frame_map()[b.frame].pose
-    lift_b_inv = Sim3Transform.from_pose(local_b).inverse()
-    a_inv = a.pose.inverse()
-    seeds = [a_inv.compose(b.pose)]
-    seeds.extend(
-        Sim3Transform(1.0, Rotation.identity(), np.array([0.0, 0.0, float(d)]))
-        for d in offsets
-    )
-    best: tuple[int, Sim3Transform] | None = None
+    best: tuple[int, Sim3Transform, np.ndarray] | None = None
     for seed in seeds:
         cur = seed
         lost = False
@@ -398,38 +365,46 @@ def _coarse_initial(
         gb = a.pose.compose(cur).compose(lift_b_inv).apply(pts_b)
         bi, _ = _mutual_matches(tree_a, ga, gb, _MATCH_RADIUS)
         if best is None or len(bi) > best[0]:
-            best = (len(bi), cur)
-    return None if best is None else best[1]
+            best = (len(bi), cur, gb)
+    return None if best is None else best[1:]
 
 
 def measure_relative(
     a: FrameNode,
     b: FrameNode,
     chunks: list[ChunkReconstruction],
-    initial: Sim3Transform | None = None,
+    offsets: "np.ndarray | tuple" = (),
 ) -> RelativeMeasurement:
     """Register b's points against a's to measure the relative Sim(3).
 
-    Both point sets are carried into the global frame by the current
-    estimates (``initial``, when given, replaces the current relative guess
-    of b in a, e.g. a collocation hypothesis for loop candidates).  Mutual
-    nearest neighbors within 0.5 m are fit by a similarity, re-associating
-    five times.  Needs at least 50 matches and 30% overlap; the edge weight
+    A coarse-to-fine mutual-nearest-neighbor similarity ICP.  a's points
+    are carried into the global frame by its current estimate.  Seeds for
+    b's placement are the current relative estimate plus collocation
+    hypotheses at the given along-view offsets (a revisit on a track
+    differs mostly in where along the lane it sits); the coarse stage
+    polishes each and keeps the best.  The strict stage then fits mutual
+    nearest neighbors within 0.5 m by a similarity, re-associating five
+    times.  Needs at least 50 matches and 30% overlap; the edge weight
     grows with match count and saturates.
     """
-    pts_a = _points_of(a, chunks)
-    pts_b = _points_of(b, chunks)
-    if min(len(pts_a), len(pts_b)) < 3:
+    rec_a = chunks[a.chunk_id].frame_map()[a.frame]
+    rec_b = chunks[b.chunk_id].frame_map()[b.frame]
+    pts_a, pts_b = rec_a.points, rec_b.points
+    if min(len(pts_a), len(pts_b)) < 4:
         return RelativeMeasurement(None, 0, 0.0, 0.0, "too-few-matches")
-    carrier_a = _carrier(a, chunks)
-    if initial is None:
-        carrier_b = _carrier(b, chunks)
-    else:
-        local_b = chunks[b.chunk_id].frame_map()[b.frame].pose
-        carrier_b = a.pose.compose(initial).compose(Sim3Transform.from_pose(local_b).inverse())
-    ga = carrier_a.apply(pts_a)
-    gb = carrier_b.apply(pts_b)
+    ga = a.pose.compose(Sim3Transform.from_pose(rec_a.pose).inverse()).apply(pts_a)
     tree_a = cKDTree(ga)
+    lift_b_inv = Sim3Transform.from_pose(rec_b.pose).inverse()
+    a_inv = a.pose.inverse()
+    seeds = [a_inv.compose(b.pose)]
+    seeds.extend(
+        Sim3Transform(1.0, Rotation.identity(), np.array([0.0, 0.0, float(d)]))
+        for d in offsets
+    )
+    coarse = _coarse_initial(a, a_inv, tree_a, ga, pts_b, lift_b_inv, seeds)
+    if coarse is None:
+        return RelativeMeasurement(None, 0, 0.0, 0.0, "too-few-matches")
+    initial, gb = coarse
     fit = Sim3Transform.identity()
     matches = 0
     for _ in range(_MEASURE_ITERATIONS):
@@ -447,8 +422,8 @@ def measure_relative(
     if overlap < _MIN_OVERLAP:
         return RelativeMeasurement(None, matches, overlap, 0.0, "low-overlap")
     # corrected placement of b implies the measured relative transform
-    corrected_b = fit.compose(b.pose if initial is None else a.pose.compose(initial))
-    transform = a.pose.inverse().compose(corrected_b)
+    corrected_b = fit.compose(a.pose.compose(initial))
+    transform = a_inv.compose(corrected_b)
     weight = min(matches, _WEIGHT_CAP) / _WEIGHT_CAP
     return RelativeMeasurement(transform, matches, overlap, weight)
 
@@ -485,12 +460,7 @@ def sample_cross_edges(
             if key in tried or graph.has_edge(x.frame, y.frame, "cross"):
                 continue
             tried.add(key)
-            # after a loop closure lands, revisit pairs may still sit a few
-            # meters apart; polish the guess before the strict matcher votes
-            initial = _coarse_initial(x, y, chunks)
-            if initial is None:
-                continue
-            meas = measure_relative(x, y, chunks, initial=initial)
+            meas = measure_relative(x, y, chunks)
             if not meas.ok:
                 continue
             edge = GraphEdge(
@@ -584,11 +554,7 @@ def apply_loop_closures(
         for fb2 in trials:
             if fb2 == fa or graph.has_edge(fa, fb2, "loop"):
                 continue
-            b = graph.nodes[fb2]
-            initial = _coarse_initial(a, b, chunks, offsets=shifts)
-            if initial is None:
-                continue
-            meas = measure_relative(a, b, chunks, initial=initial)
+            meas = measure_relative(a, graph.nodes[fb2], chunks, offsets=shifts)
             if meas.ok and (best is None or meas.num_matches > best[0].num_matches):
                 best = (meas, fb2)
         if best is None or best[0].overlap_ratio < min_overlap:
@@ -713,6 +679,16 @@ def _propagate_from_keyframes(graph: PoseGraph):
             node.pose = graph.nodes[last_kf].pose.compose(meas)
 
 
+def _edge_arrays(edges: list[GraphEdge], index: dict[int, int]):
+    """Endpoint node indices and measurements: (ia, ja, mq, mt, ms)."""
+    ia = np.array([index[e.i] for e in edges])
+    ja = np.array([index[e.j] for e in edges])
+    mq = np.array([e.measurement.rotation.wxyz for e in edges])
+    mt = np.array([e.measurement.translation for e in edges])
+    ms = np.array([e.measurement.scale for e in edges])
+    return ia, ja, mq, mt, ms
+
+
 def _edge_rms(graph: PoseGraph) -> float:
     """RMS translation residual over active edges (drift proxy, no reference)."""
     edges = [e for e in graph.edges if e.active]
@@ -721,13 +697,8 @@ def _edge_rms(graph: PoseGraph) -> float:
     frames = graph.frames()
     index = {f: i for i, f in enumerate(frames)}
     q, t, s = _node_state(graph, frames)
-    ia = np.array([index[e.i] for e in edges])
-    ja = np.array([index[e.j] for e in edges])
-    mq = np.array([e.measurement.rotation.wxyz for e in edges])
-    mt = np.array([e.measurement.translation for e in edges])
-    ms = np.array([e.measurement.scale for e in edges])
     try:
-        _, _, r = _residuals(q, t, s, ia, ja, mq, mt, ms)
+        _, _, r = _residuals(q, t, s, *_edge_arrays(edges, index))
     except ValueError:
         return float("inf")
     return float(np.sqrt(np.mean(np.sum(r[:, 3:6] ** 2, axis=1))))
@@ -766,11 +737,7 @@ def optimize(
     frames = graph.frames()
     index = {f: i for i, f in enumerate(frames)}
     q, t, s = _node_state(graph, frames)
-    ia = np.array([index[e.i] for e in edges])
-    ja = np.array([index[e.j] for e in edges])
-    mq = np.array([e.measurement.rotation.wxyz for e in edges])
-    mt = np.array([e.measurement.translation for e in edges])
-    ms = np.array([e.measurement.scale for e in edges])
+    ia, ja, mq, mt, ms = _edge_arrays(edges, index)
     weight = np.array([e.weight for e in edges])
     delta = np.array([e.kernel_scale * math.sqrt(w[3]) for e, w in zip(edges, weight)])
 
@@ -909,9 +876,8 @@ def alternating_refinement(
     between over intra edges with every keyframe held.  Per round:
     (1) local smoothing, (2) sample fresh cross edges and optimize the
     keyframe graph with them and any loop edges, (3) drop the round's
-    cross edges unless the schedule accumulates them.  Block coordinate
-    descent over disjoint variable sets, so the rounds settle instead of
-    undoing each other.
+    cross edges.  Block coordinate descent over disjoint variable sets, so
+    the rounds settle instead of undoing each other.
     """
     diagnostics: list[StageDiagnostics] = []
     if schedule.rounds == 0:
@@ -934,8 +900,7 @@ def alternating_refinement(
             )
         )
 
-        if not schedule.accumulate_cross:
-            graph.remove_edges("cross")
+        graph.remove_edges("cross")
         round_seed = int(np.random.SeedSequence([schedule.seed, 3, rnd]).generate_state(1)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # per-chunk zero-acceptance is fine here
@@ -950,8 +915,7 @@ def alternating_refinement(
                 res.iterations, _edge_rms(graph),
             )
         )
-        if not schedule.accumulate_cross:
-            graph.remove_edges("cross")
+        graph.remove_edges("cross")
     return diagnostics
 
 

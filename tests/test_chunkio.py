@@ -452,6 +452,105 @@ def test_manifest_payload_count_mismatch(tmp_path):
         read_manifest(mpath)
 
 
+def _text_reader(name, reader, text):
+    def make(tmp_path):
+        p = tmp_path / name
+        p.write_text(text)
+        return lambda: reader(p)
+
+    return make
+
+
+def _nan_binary_ply(tmp_path):
+    p = tmp_path / "nan.ply"
+    write_pointcloud(p, PointCloudData(np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 2.0]])))
+    return lambda: read_pointcloud(p)
+
+
+def _edited_chunk(edit):
+    def make(tmp_path):
+        poses_p, pts_p = tmp_path / "c.json", tmp_path / "c.ply"
+        write_chunk(_small_chunk(np.random.default_rng(18)), poses_p, pts_p)
+        doc = json.loads(poses_p.read_text())
+        edit(doc)
+        poses_p.write_text(json.dumps(doc))
+        return lambda: read_chunk(poses_p, pts_p)
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, error, needle",
+    [
+        pytest.param(
+            _text_reader("t.txt", read_trajectory, "nan 0 0 0 0 0 0 1\n"), TrajectoryFormatError, "non-finite",
+            id="trajectory-nan-timestamp",
+        ),
+        pytest.param(
+            _text_reader("t.txt", read_trajectory, "0.0 nan 0 0 0 0 0 1\n"), TrajectoryFormatError, "non-finite",
+            id="trajectory-nan-translation",
+        ),
+        pytest.param(
+            _text_reader("t.txt", read_trajectory, "0.0 1 -inf 0 0 0 0 1\n"), TrajectoryFormatError, "non-finite",
+            id="trajectory-inf-translation",
+        ),
+        pytest.param(
+            _text_reader("g.txt", read_gauges, "0 nan 0 0 0 0 0 0 1\n"), ManifestError, "non-finite",
+            id="gauges-nan-scale",
+        ),
+        pytest.param(
+            _text_reader("g.txt", read_gauges, "0 1.0 inf 0 0 0 0 0 1\n"), ManifestError, "non-finite",
+            id="gauges-inf-translation",
+        ),
+        pytest.param(
+            _text_reader("p.ply", read_pointcloud, _ply_ascii(["x", "y", "z"], ["nan 0 0"])),
+            PointCloudFormatError, "non-finite x", id="ply-ascii-nan",
+        ),
+        pytest.param(_nan_binary_ply, PointCloudFormatError, "non-finite y", id="ply-binary-nan"),
+        pytest.param(
+            _edited_chunk(lambda d: d.update(frames=5)), ManifestError, "frames must be a list",
+            id="chunk-frames-number",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d.update(frames={"0": d["frames"][0]})),
+            ManifestError, "frames must be a list", id="chunk-frames-object",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d.update(chunk_id="zero")), ManifestError, "chunk_id must be",
+            id="chunk-id-string",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d.update(chunk_id=1.5)), ManifestError, "chunk_id must be",
+            id="chunk-id-fraction",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d.update(chunk_id=None)), ManifestError, "chunk_id must be",
+            id="chunk-id-null",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d["frames"][1].update(num_points="four")),
+            ManifestError, r"frames\[1\]\.num_points must be", id="chunk-num-points-string",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d["frames"][1].update(num_points=None)),
+            ManifestError, r"frames\[1\]\.num_points must be", id="chunk-num-points-null",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d["frames"][0].update(translation=[0.0, float("nan"), 0.0])),
+            ManifestError, "non-finite", id="chunk-nan-translation",
+        ),
+        pytest.param(
+            _edited_chunk(lambda d: d["frames"][2].update(timestamp="noon")),
+            ManifestError, r"frames\[2\]", id="chunk-timestamp-string",
+        ),
+    ],
+)
+def test_readers_reject_non_finite_and_mistyped_fields(tmp_path, make, error, needle):
+    read = make(tmp_path)
+    with pytest.raises(error, match=needle):
+        read()
+
+
 def test_all_reader_errors_are_data_format_errors():
     assert issubclass(ManifestError, DataFormatError)
     assert issubclass(TrajectoryFormatError, DataFormatError)

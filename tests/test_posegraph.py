@@ -225,6 +225,27 @@ def test_measure_relative_recovers_known_sim3():
     assert abs(err.scale - 1.0) < 1e-6
 
 
+def test_measure_relative_offset_seed_recovers_displaced_pair():
+    # a flat slab of surface seen 20.6 m further along the view axis: no
+    # point of b lies within the coarsest radius of a from the current
+    # relative, so only a collocation seed on the along-view offset grid
+    # brings the clouds into reach of the coarse stage
+    rng = np.random.default_rng(23)
+    slab = rng.uniform([-15.0, -15.0, -3.0], [15.0, 15.0, 3.0], size=(320, 3))
+    true_rel = Sim3Transform(1.02, Rotation.exp([0.0, 0.01, 0.02]), [0.3, -0.2, 20.6])
+    a, b, chunks = _measure_fixture(true_rel, Sim3Transform.identity(), pts=slab)
+    offsets = np.arange(-25.0, 25.0 + 1e-9, 2.5)
+    meas = measure_relative(a, b, chunks, offsets=offsets)
+    assert meas.ok
+    err = true_rel.inverse().compose(meas.transform)
+    assert np.linalg.norm(err.translation) < 1e-6
+    assert err.rotation.angle < 1e-6
+    assert abs(err.scale - 1.0) < 1e-6
+    unseeded = measure_relative(a, b, chunks)
+    assert not unseeded.ok
+    assert unseeded.reason == "too-few-matches"
+
+
 def test_measure_relative_disjoint_rejected():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-15.0, 15.0, size=(320, 3))
