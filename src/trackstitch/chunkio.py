@@ -352,12 +352,35 @@ def _require(doc: dict, key: str, path: str, context: str = ""):
     return doc[key]
 
 
+def _typed(doc: dict, key: str, path: str, context: str, kind: str, ok):
+    value = _require(doc, key, path, context)
+    if not ok(value):
+        where = f"{context}.{key}" if context else key
+        raise ManifestError(f"{where} must be {kind}, got {value!r}", path=path)
+    return value
+
+
 def _count(doc: dict, key: str, path: str, context: str = "") -> int:
     """A required field that must be a non-negative integer (an id or a count)."""
-    value = _require(doc, key, path, context)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        where = f"{context}.{key}" if context else key
-        raise ManifestError(f"{where} must be a non-negative integer, got {value!r}", path=path)
+    return _typed(
+        doc, key, path, context, "a non-negative integer",
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+    )
+
+
+def _string(doc: dict, key: str, path: str, context: str = "") -> str:
+    return _typed(doc, key, path, context, "a string", lambda v: isinstance(v, str))
+
+
+def _object(value, where: str, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ManifestError(f"{where} must be an object", path=path)
+    return value
+
+
+def _list(value, where: str, path: str) -> list:
+    if not isinstance(value, list):
+        raise ManifestError(f"{where} must be a list", path=path)
     return value
 
 
@@ -375,18 +398,14 @@ def read_chunk(poses_path, points_path) -> ChunkReconstruction:
     if pixels is None:
         pixels = np.zeros((cloud.points.shape[0], 2))
 
-    if not isinstance(doc, dict):
-        raise ManifestError("top level must be an object", path=str(poses_path))
+    doc = _object(doc, "top level", str(poses_path))
     chunk_id = _count(doc, "chunk_id", str(poses_path))
-    frame_docs = _require(doc, "frames", str(poses_path))
-    if not isinstance(frame_docs, list):
-        raise ManifestError("frames must be a list", path=str(poses_path))
+    frame_docs = _list(_require(doc, "frames", str(poses_path)), "frames", str(poses_path))
     frames = []
     offset = 0
     for i, fd in enumerate(frame_docs):
         ctx = f"frames[{i}]"
-        if not isinstance(fd, dict):
-            raise ManifestError(f"{ctx} must be an object", path=str(poses_path))
+        fd = _object(fd, ctx, str(poses_path))
         n = _count(fd, "num_points", str(poses_path), ctx)
         t = _require(fd, "translation", str(poses_path), ctx)
         q = _require(fd, "quaternion_wxyz", str(poses_path), ctx)
@@ -452,7 +471,16 @@ class Manifest:
     root: Path = Path(".")
 
     def load_chunks(self) -> list[ChunkReconstruction]:
-        return [read_chunk(poses, points) for poses, points in self.payload_paths]
+        chunks = []
+        for spec, (poses, points) in zip(self.plan.chunks, self.payload_paths):
+            chunk = read_chunk(poses, points)
+            if chunk.chunk_id != spec.chunk_id:
+                raise ManifestError(
+                    f"chunk_id {chunk.chunk_id} where the plan has chunk {spec.chunk_id}",
+                    path=str(poses),
+                )
+            chunks.append(chunk)
+        return chunks
 
 
 def write_manifest(
@@ -503,75 +531,70 @@ def read_manifest(path) -> Manifest:
         raise ManifestError(str(e), path=str(path)) from e
     except json.JSONDecodeError as e:
         raise ManifestError(f"invalid JSON: {e.msg}", path=str(path), line=e.lineno)
-    if not isinstance(doc, dict):
-        raise ManifestError("top level must be an object", path=str(path))
+    src = str(path)
+    doc = _object(doc, "top level", src)
 
-    video = _require(doc, "video", str(path))
+    video = _object(_require(doc, "video", src), "video", src)
     try:
         meta = VideoMeta(
-            int(_require(video, "num_frames", str(path), "video")),
-            float(_require(video, "fps", str(path), "video")),
-            int(_require(video, "width", str(path), "video")),
-            int(_require(video, "height", str(path), "video")),
+            _count(video, "num_frames", src, "video"),
+            float(_require(video, "fps", src, "video")),
+            _count(video, "width", src, "video"),
+            _count(video, "height", src, "video"),
         )
-    except ValueError as e:
-        raise ManifestError(f"video: {e}", path=str(path))
+        if not np.isfinite(meta.fps):
+            raise ValueError("fps must be finite")
+    except (TypeError, ValueError) as e:
+        raise ManifestError(f"video: {e}", path=src)
 
-    plan_doc = _require(doc, "plan", str(path))
+    plan_doc = _object(_require(doc, "plan", src), "plan", src)
     chunks = []
-    for i, cd in enumerate(_require(plan_doc, "chunks", str(path), "plan")):
-        chunks.append(
-            ChunkSpec(
-                int(_require(cd, "chunk_id", str(path), f"plan.chunks[{i}]")),
-                int(_require(cd, "start_frame", str(path), f"plan.chunks[{i}]")),
-                int(_require(cd, "end_frame", str(path), f"plan.chunks[{i}]")),
-            )
-        )
+    for i, cd in enumerate(_list(_require(plan_doc, "chunks", src, "plan"), "plan.chunks", src)):
+        ctx = f"plan.chunks[{i}]"
+        cd = _object(cd, ctx, src)
+        keys = ("chunk_id", "start_frame", "end_frame")
+        chunks.append(ChunkSpec(*(_count(cd, k, src, ctx) for k in keys)))
+    violations = _list(plan_doc.get("boundary_violations", []), "plan.boundary_violations", src)
     try:
-        plan = ChunkPlan(
-            tuple(chunks),
-            int(_require(plan_doc, "overlap_frames", str(path), "plan")),
-            meta.num_frames,
-            tuple(plan_doc.get("boundary_violations", [])),
-        )
+        overlap = _count(plan_doc, "overlap_frames", src, "plan")
+        plan = ChunkPlan(tuple(chunks), overlap, meta.num_frames, tuple(violations))
     except ValueError as e:
-        raise ManifestError(f"plan: {e}", path=str(path))
+        raise ManifestError(f"plan: {e}", path=src)
 
     mask = None
     if doc.get("mask") is not None:
-        md = doc["mask"]
-        mode = _require(md, "mode", str(path), "mask")
+        md = _object(doc["mask"], "mask", src)
+        mode = _require(md, "mode", src, "mask")
         try:
             if mode == "polygon":
-                mask = build_mask("polygon", vertices=_require(md, "vertices", str(path), "mask"))
+                mask = build_mask("polygon", vertices=_require(md, "vertices", src, "mask"))
             else:
-                mask = build_mask(mode, float(_require(md, "fraction", str(path), "mask")))
+                mask = build_mask(mode, float(_require(md, "fraction", src, "mask")))
         except (TypeError, ValueError) as e:
-            raise ManifestError(f"mask: {e}", path=str(path))
+            raise ManifestError(f"mask: {e}", path=src)
 
     payloads: list[tuple[Path, Path]] = []
     root = path.parent
     if "chunk_payloads" in doc:
-        entries = doc["chunk_payloads"]
+        entries = _list(doc["chunk_payloads"], "chunk_payloads", src)
         if len(entries) != len(plan.chunks):
             raise ManifestError(
-                f"{len(entries)} chunk payloads for {len(plan.chunks)} chunks", path=str(path)
+                f"{len(entries)} chunk payloads for {len(plan.chunks)} chunks", path=src
             )
         for i, pd in enumerate(entries):
-            poses = root / _require(pd, "poses", str(path), f"chunk_payloads[{i}]")
-            points = root / _require(pd, "points", str(path), f"chunk_payloads[{i}]")
+            ctx = f"chunk_payloads[{i}]"
+            pd = _object(pd, ctx, src)
+            poses, points = (root / _string(pd, k, src, ctx) for k in ("poses", "points"))
             for p in (poses, points):
                 if not p.exists():
-                    raise ManifestError(
-                        f"missing chunk payload {p.name!r} for chunk {i}", path=str(path)
-                    )
+                    raise ManifestError(f"missing chunk payload {p.name!r} for chunk {i}", path=src)
             payloads.append((poses, points))
 
     gt = None
     if "ground_truth" in doc:
-        gt = root / doc["ground_truth"]
+        gt = root / _string(doc, "ground_truth", src)
         if not gt.exists():
-            raise ManifestError(f"missing ground_truth file {doc['ground_truth']!r}", path=str(path))
+            raise ManifestError(f"missing ground_truth file {doc['ground_truth']!r}", path=src)
 
     return Manifest(meta, plan, mask, payloads, gt, root)
 

@@ -55,6 +55,20 @@ def _apply_thread_cap():
 # config files and run manifests
 
 
+def _key_values(text: str, where: str):
+    """Yield ``(where:line, key, value)`` per ``key = value`` line; ``#`` starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{where}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise _UsageError(f"{where}:{lineno}: empty key or value")
+        yield f"{where}:{lineno}", key, value
+
+
 def _read_config(path: str) -> list[str]:
     """Turn ``key = value`` lines into flag tokens injected before user flags."""
     try:
@@ -62,15 +76,7 @@ def _read_config(path: str) -> list[str]:
     except OSError as e:
         raise _UsageError(f"--config: {e}")
     tokens: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise _UsageError(f"{path}:{lineno}: empty key or value")
+    for _, key, value in _key_values(text, path):
         tokens += [f"--{key.replace('_', '-')}", value]
     return tokens
 
@@ -155,19 +161,13 @@ def _load_noise(spec: str):
         raise _UsageError(f"--noise: unknown profile {spec!r} (expected {known} or a file)")
     fields = {f.name for f in dataclasses.fields(NoiseModel)}
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _UsageError(f"--noise: {spec}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for where, key, value in _key_values(text, f"--noise: {spec}"):
         if key not in fields:
-            raise _UsageError(f"--noise: {spec}:{lineno}: unknown field {key!r}")
+            raise _UsageError(f"{where}: unknown field {key!r}")
         try:
             values[key] = float(value)
         except ValueError:
-            raise _UsageError(f"--noise: {spec}:{lineno}: non-numeric value {value!r}")
+            raise _UsageError(f"{where}: non-numeric value {value!r}")
     return NoiseModel(**values)
 
 
@@ -438,86 +438,30 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+# pipeline's fixed file layout: the file flags of each stage, relative to --out-dir
+_PIPELINE_FILES = {
+    "simulate": "out-dir=.",
+    "stitch": "manifest=manifest.json out=stitched.tum gauges=gauges.txt",
+    "refine": (
+        "manifest=manifest.json traj=stitched.tum out=refined.tum diagnostics=diagnostics.txt"
+    ),
+    "fuse": "manifest=manifest.json gauges=gauges.txt traj=refined.tum out=track.ply",
+    "eval": "est=refined.tum gt=gt.tum out=metrics.txt",
+    "plot": "traj=stitched.tum traj=refined.tum gt=gt.tum cloud=track.ply out=plot.svg",
+}
+
+
 def _cmd_pipeline(args) -> int:
+    """Run every stage through its own parser, so each stage's defaults apply."""
     out = Path(args.out_dir)
-    stages = [
-        (
-            _cmd_simulate,
-            dict(
-                track=args.track,
-                frames=args.frames,
-                fps=args.fps,
-                width=args.width,
-                height=args.height,
-                speed=args.speed,
-                chunk_seconds=args.chunk_seconds,
-                overlap=args.overlap,
-                noise=args.noise,
-                seed=args.seed,
-                points=args.points,
-                out_dir=str(out),
-            ),
-        ),
-        (
-            _cmd_stitch,
-            dict(
-                manifest=str(out / "manifest.json"),
-                scale_mode="umeyama",
-                out=str(out / "stitched.tum"),
-                gauges=str(out / "gauges.txt"),
-            ),
-        ),
-        (
-            _cmd_refine,
-            dict(
-                manifest=str(out / "manifest.json"),
-                traj=str(out / "stitched.tum"),
-                rounds=args.rounds,
-                cross_edges=args.cross_edges,
-                keyframe_stride=args.keyframe_stride,
-                seed=args.seed,
-                loop_radius=args.loop_radius,
-                loop_min_gap=args.loop_min_gap,
-                out=str(out / "refined.tum"),
-                diagnostics=str(out / "diagnostics.txt"),
-            ),
-        ),
-        (
-            _cmd_fuse,
-            dict(
-                manifest=str(out / "manifest.json"),
-                gauges=str(out / "gauges.txt"),
-                traj=str(out / "refined.tum"),
-                voxel=args.voxel,
-                min_conf=args.min_conf,
-                out=str(out / "track.ply"),
-            ),
-        ),
-        (
-            _cmd_eval,
-            dict(
-                est=str(out / "refined.tum"),
-                gt=str(out / "gt.tum"),
-                align=args.align,
-                delta=args.delta,
-                max_dt=0.02,
-                out=str(out / "metrics.txt"),
-            ),
-        ),
-        (
-            _cmd_plot,
-            dict(
-                traj=[str(out / "stitched.tum"), str(out / "refined.tum")],
-                gt=str(out / "gt.tum"),
-                cloud=str(out / "track.ply"),
-                out=str(out / "plot.svg"),
-                width=800,
-                height=600,
-            ),
-        ),
-    ]
-    for handler, params in stages:
-        code = handler(argparse.Namespace(**params))
+    parser = _build_parser()
+    ours = _TAKES["pipeline"].split()
+    for stage, files in _PIPELINE_FILES.items():
+        shared = [f for f in _TAKES[stage].split() if f in ours]
+        argv = [f"--{f}={getattr(args, f.replace('-', '_'))}" for f in shared]
+        argv += [f"--{f}={out / name}" for f, name in (p.split("=") for p in files.split())]
+        stage_args = parser.parse_args([stage, *argv])
+        code = stage_args.func(stage_args)
         if code != 0:
             return code
     _write_run_manifest(out / "run.txt", "pipeline", args)
@@ -527,153 +471,110 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# Every tuning flag, and each file flag that several subcommands share, is
+# declared here once; _TAKES lists which subcommand takes which.  The other
+# file flags, and plot's --width/--height (the SVG size, not the image size,
+# so pipeline must not forward them), are declared with their subcommand.
+_FLAGS = {
+    "track": dict(default="monaco-like", help="monaco-like|square|file:<segments>"),
+    "frames": dict(type=int, default=2000, help="frame count"),
+    "fps": dict(type=float, default=24.0, help="frames per second"),
+    "width": dict(type=int, default=640, help="image width px"),
+    "height": dict(type=int, default=480, help="image height px"),
+    "speed": dict(type=float, default=40.0, help="mean speed m/s"),
+    "chunk-seconds": dict(type=float, default=5.0, help="chunk length s"),
+    "overlap": dict(type=int, default=1, help="seam overlap frames"),
+    "noise": dict(default="none", help="noise profile name or file"),
+    "seed": dict(type=int, default=42, help="rng seed"),
+    "points": dict(type=int, default=150, help="target points per frame"),
+    "straight-threshold": dict(
+        type=float, default=0.002, help="|yaw rate| rad/frame counted as straight"
+    ),
+    "manifest": dict(required=True, help="manifest with chunk payloads"),
+    "gauges": dict(required=True, help="per-chunk Sim(3) gauge file"),
+    "scale-mode": dict(
+        default="umeyama", choices=("unit", "depth", "umeyama"), help="seam scale handling"
+    ),
+    "rounds": dict(type=int, default=5, help="alternating refinement rounds"),
+    "cross-edges": dict(type=int, default=20, help="cross edges per chunk"),
+    "keyframe-stride": dict(type=int, default=10, help="keyframe stride"),
+    "loop-radius": dict(
+        type=float, default=50.0, help="loop-closure candidate radius m, 0 disables"
+    ),
+    "loop-min-gap": dict(type=float, default=20.0, help="minimum loop travel gap m"),
+    "voxel": dict(type=float, default=0.25, help="dedup voxel m, 0 disables"),
+    "min-conf": dict(type=float, default=0.0, help="confidence floor"),
+    "align": dict(default="sim3", choices=("none", "se3", "sim3"), help="ATE alignment"),
+    "delta": dict(type=int, default=24, help="RPE window frames"),
+    "max-dt": dict(type=float, default=0.02, help="association tolerance s"),
+}
 
-def _add_common(sp):
-    sp.add_argument("--config", help="key = value file; flags given on the command line win")
+_SIMULATION = "track frames fps width height speed chunk-seconds overlap noise seed points"
+_REFINEMENT = "rounds cross-edges keyframe-stride loop-radius loop-min-gap"
+_TAKES = {
+    "simulate": _SIMULATION,
+    "plan": "frames fps width height chunk-seconds overlap straight-threshold",
+    "stitch": "manifest scale-mode gauges",
+    "refine": f"manifest {_REFINEMENT} seed",
+    "fuse": "manifest gauges voxel min-conf",
+    "eval": "align delta max-dt",
+    "plot": "",
+    # pipeline passes each stage the flags both take; the rest keep the stage's defaults
+    "pipeline": f"{_SIMULATION} {_REFINEMENT} voxel min-conf align delta",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trackstitch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("simulate", help="synthesize chunked reconstructions of a circuit")
-    p.add_argument("--track", default="monaco-like", help="monaco-like|square|file:<segments> (default monaco-like)")
-    p.add_argument("--frames", type=int, default=2000, help="frame count (default 2000)")
-    p.add_argument("--fps", type=float, default=24.0, help="frames per second (default 24)")
-    p.add_argument("--width", type=int, default=640, help="image width px (default 640)")
-    p.add_argument("--height", type=int, default=480, help="image height px (default 480)")
-    p.add_argument("--speed", type=float, default=40.0, help="mean speed m/s (default 40)")
-    p.add_argument("--chunk-seconds", type=float, default=5.0, help="chunk length s (default 5)")
-    p.add_argument("--overlap", type=int, default=1, help="seam overlap frames (default 1)")
-    p.add_argument("--noise", default="none", help="noise profile name or file (default none)")
-    p.add_argument("--seed", type=int, default=42, help="rng seed (default 42)")
-    p.add_argument("--points", type=int, default=150, help="target points per frame (default 150)")
+    def add(name, func, help, required=()):
+        p = sub.add_parser(name, help=help)
+        for flag in _TAKES[name].split():
+            kw = dict(_FLAGS[flag])
+            if flag in required:
+                kw.update(required=True, default=None)
+            elif "default" in kw:
+                kw["help"] += " (default %(default)s)"
+            p.add_argument(f"--{flag}", **kw)
+        p.add_argument("--config", help="key = value file; flags given on the command line win")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("simulate", _cmd_simulate, "synthesize chunked reconstructions of a circuit")
     p.add_argument("--out-dir", required=True, help="output directory")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("plan", help="plan chunk boundaries for a video")
-    p.add_argument("--frames", type=int, required=True, help="frame count")
-    p.add_argument("--fps", type=float, default=24.0, help="frames per second (default 24)")
-    p.add_argument("--width", type=int, default=640, help="image width px (default 640)")
-    p.add_argument("--height", type=int, default=480, help="image height px (default 480)")
-    p.add_argument("--chunk-seconds", type=float, default=5.0, help="chunk length s (default 5)")
-    p.add_argument("--overlap", type=int, default=1, help="seam overlap frames (default 1)")
+    p = add("plan", _cmd_plan, "plan chunk boundaries for a video", required=("frames",))
     p.add_argument("--curvature", help="per-frame yaw rate file enabling turn-aware boundaries")
-    p.add_argument(
-        "--straight-threshold",
-        type=float,
-        default=0.002,
-        help="|yaw rate| rad/frame counted as straight (default 0.002)",
-    )
     p.add_argument("--out", required=True, help="manifest path")
-    _add_common(p)
-    p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("stitch", help="chain chunks into one trajectory via seam alignment")
-    p.add_argument("--manifest", required=True, help="manifest with chunk payloads")
-    p.add_argument(
-        "--scale-mode",
-        default="umeyama",
-        choices=("unit", "depth", "umeyama"),
-        help="seam scale handling (default umeyama)",
-    )
+    p = add("stitch", _cmd_stitch, "chain chunks into one trajectory via seam alignment")
     p.add_argument("--out", required=True, help="stitched trajectory (TUM)")
-    p.add_argument("--gauges", required=True, help="per-chunk Sim(3) gauge file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_stitch)
 
-    p = sub.add_parser("refine", help="pose-graph refinement of a stitched trajectory")
-    p.add_argument("--manifest", required=True, help="manifest with chunk payloads")
+    p = add("refine", _cmd_refine, "pose-graph refinement of a stitched trajectory")
     p.add_argument("--traj", required=True, help="input trajectory (TUM)")
-    p.add_argument("--rounds", type=int, default=5, help="alternating rounds (default 5)")
-    p.add_argument("--cross-edges", type=int, default=20, help="cross edges per chunk (default 20)")
-    p.add_argument("--keyframe-stride", type=int, default=10, help="keyframe stride (default 10)")
-    p.add_argument("--seed", type=int, default=42, help="cross-edge sampling seed (default 42)")
-    p.add_argument(
-        "--loop-radius",
-        type=float,
-        default=50.0,
-        help="loop-closure candidate radius m, 0 disables (default 50)",
-    )
-    p.add_argument(
-        "--loop-min-gap", type=float, default=20.0, help="minimum loop travel gap m (default 20)"
-    )
     p.add_argument("--out", required=True, help="refined trajectory (TUM)")
     p.add_argument("--diagnostics", help="per-stage cost table path")
-    _add_common(p)
-    p.set_defaults(func=_cmd_refine)
 
-    p = sub.add_parser("fuse", help="merge chunk clouds into one deduplicated track cloud")
-    p.add_argument("--manifest", required=True, help="manifest with chunk payloads")
-    p.add_argument("--gauges", required=True, help="per-chunk Sim(3) gauge file")
+    p = add("fuse", _cmd_fuse, "merge chunk clouds into one deduplicated track cloud")
     p.add_argument("--traj", help="refined trajectory; points ride with refined poses")
-    p.add_argument("--voxel", type=float, default=0.25, help="dedup voxel m, 0 disables (default 0.25)")
-    p.add_argument("--min-conf", type=float, default=0.0, help="confidence floor (default 0)")
     p.add_argument("--out", required=True, help="output cloud (PLY)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("eval", help="trajectory metrics against a reference")
+    p = add("eval", _cmd_eval, "trajectory metrics against a reference")
     p.add_argument("--est", required=True, help="estimated trajectory (TUM)")
     p.add_argument("--gt", required=True, help="reference trajectory (TUM)")
-    p.add_argument(
-        "--align", default="sim3", choices=("none", "se3", "sim3"), help="ATE alignment (default sim3)"
-    )
-    p.add_argument("--delta", type=int, default=24, help="RPE window frames (default 24)")
-    p.add_argument(
-        "--max-dt", type=float, default=0.02, help="association tolerance s (default 0.02)"
-    )
     p.add_argument("--out", help="also write the machine-readable record here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("plot", help="top-down SVG figure of trajectories")
-    p.add_argument(
-        "--traj", action="append", required=True, help="trajectory (TUM); repeatable"
-    )
+    p = add("plot", _cmd_plot, "top-down SVG figure of trajectories")
+    p.add_argument("--traj", action="append", required=True, help="trajectory (TUM); repeatable")
     p.add_argument("--gt", help="reference trajectory drawn dashed")
     p.add_argument("--cloud", help="fused cloud (PLY) drawn as background dots")
     p.add_argument("--width", type=int, default=800, help="SVG width px (default 800)")
     p.add_argument("--height", type=int, default=600, help="SVG height px (default 600)")
     p.add_argument("--out", required=True, help="output SVG path")
-    _add_common(p)
-    p.set_defaults(func=_cmd_plot)
 
-    p = sub.add_parser("pipeline", help="simulate, stitch, refine, fuse, eval and plot in order")
-    p.add_argument("--track", default="monaco-like", help="monaco-like|square|file:<segments> (default monaco-like)")
-    p.add_argument("--frames", type=int, default=2000, help="frame count (default 2000)")
-    p.add_argument("--fps", type=float, default=24.0, help="frames per second (default 24)")
-    p.add_argument("--width", type=int, default=640, help="image width px (default 640)")
-    p.add_argument("--height", type=int, default=480, help="image height px (default 480)")
-    p.add_argument("--speed", type=float, default=40.0, help="mean speed m/s (default 40)")
-    p.add_argument("--chunk-seconds", type=float, default=5.0, help="chunk length s (default 5)")
-    p.add_argument("--overlap", type=int, default=1, help="seam overlap frames (default 1)")
-    p.add_argument("--noise", default="none", help="noise profile name or file (default none)")
-    p.add_argument("--seed", type=int, default=42, help="rng seed (default 42)")
-    p.add_argument("--points", type=int, default=150, help="target points per frame (default 150)")
-    p.add_argument("--rounds", type=int, default=5, help="refinement rounds (default 5)")
-    p.add_argument("--cross-edges", type=int, default=20, help="cross edges per chunk (default 20)")
-    p.add_argument("--keyframe-stride", type=int, default=10, help="keyframe stride (default 10)")
-    p.add_argument(
-        "--loop-radius",
-        type=float,
-        default=50.0,
-        help="loop-closure candidate radius m, 0 disables (default 50)",
-    )
-    p.add_argument(
-        "--loop-min-gap", type=float, default=20.0, help="minimum loop travel gap m (default 20)"
-    )
-    p.add_argument("--voxel", type=float, default=0.25, help="dedup voxel m (default 0.25)")
-    p.add_argument("--min-conf", type=float, default=0.0, help="confidence floor (default 0)")
-    p.add_argument(
-        "--align", default="sim3", choices=("none", "se3", "sim3"), help="ATE alignment (default sim3)"
-    )
-    p.add_argument("--delta", type=int, default=24, help="RPE window frames (default 24)")
+    p = add("pipeline", _cmd_pipeline, "simulate, stitch, refine, fuse, eval and plot in order")
     p.add_argument("--out-dir", required=True, help="output directory for every stage")
-    _add_common(p)
-    p.set_defaults(func=_cmd_pipeline)
-
     return parser
 
 

@@ -213,6 +213,7 @@ def test_criterion_4_noiseless_end_to_end():
     assert elapsed < 60.0, f"noiseless end-to-end took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_5_drift_and_repair():
     """Two laps under the moderate noise preset: stitching alone leaves the circuit
     visibly open (endpoint gap > 5 m), loop closure plus five refinement rounds

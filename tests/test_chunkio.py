@@ -467,6 +467,17 @@ def _nan_binary_ply(tmp_path):
     return lambda: read_pointcloud(p)
 
 
+def _edited_manifest(edit):
+    def make(tmp_path):
+        mpath, *_ = _write_full_manifest(tmp_path, np.random.default_rng(26))
+        doc = json.loads(mpath.read_text())
+        edit(doc)
+        mpath.write_text(json.dumps(doc))
+        return lambda: read_manifest(mpath)
+
+    return make
+
+
 def _edited_chunk(edit):
     def make(tmp_path):
         poses_p, pts_p = tmp_path / "c.json", tmp_path / "c.ply"
@@ -542,6 +553,38 @@ def _edited_chunk(edit):
         pytest.param(
             _edited_chunk(lambda d: d["frames"][2].update(timestamp="noon")),
             ManifestError, r"frames\[2\]", id="chunk-timestamp-string",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d["plan"].update(chunks=5)),
+            ManifestError, "plan.chunks must be a list", id="manifest-plan-chunks-number",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d["plan"].update(chunks=[5])),
+            ManifestError, r"plan\.chunks\[0\] must be an object", id="manifest-plan-chunk-number",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d["plan"]["chunks"][1].update(chunk_id="x")),
+            ManifestError, r"plan\.chunks\[1\]\.chunk_id must be", id="manifest-plan-chunk-id-string",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d.update(chunk_payloads=5)),
+            ManifestError, "chunk_payloads must be a list", id="manifest-payloads-number",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d.update(chunk_payloads=[5] * len(d["chunk_payloads"]))),
+            ManifestError, r"chunk_payloads\[0\] must be an object", id="manifest-payload-number",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d.update(mask=5)), ManifestError, "mask must be an object",
+            id="manifest-mask-number",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d.update(ground_truth=5)),
+            ManifestError, "ground_truth must be a string", id="manifest-ground-truth-number",
+        ),
+        pytest.param(
+            _edited_manifest(lambda d: d["video"].update(num_frames=1.5)),
+            ManifestError, r"video\.num_frames must be", id="manifest-num-frames-fraction",
         ),
     ],
 )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
 import re
 import subprocess
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from trackstitch.chunkio import Trajectory, read_trajectory, write_trajectory
-from trackstitch.cli import main
+from trackstitch.cli import _build_parser, main
 from trackstitch.evaluation import endpoint_gap
 from trackstitch.geometry import Pose, Rotation
 from trackstitch.sim import sample_trajectory, square
@@ -107,6 +109,27 @@ def test_unknown_track_preset_exits_1(tmp_path, capsys):
     assert "--track" in capsys.readouterr().err
 
 
+def test_mistyped_manifest_exits_2(tmp_path, capsys):
+    sim = _simulate(tmp_path)
+    doc = json.loads((sim / "manifest.json").read_text())
+    doc["plan"]["chunks"] = 5
+    (sim / "manifest.json").write_text(json.dumps(doc))
+    assert main(["stitch", "--manifest", str(sim / "manifest.json"), "--out", "o", "--gauges", "g"]) == 2
+    assert "plan.chunks must be a list" in capsys.readouterr().err
+
+
+def test_payload_chunk_id_off_its_plan_position_exits_2(tmp_path, capsys):
+    sim = _simulate(tmp_path)
+    traj, _ = _stitch(sim)
+    payload = sim / "chunk_001.poses.json"
+    doc = json.loads(payload.read_text())
+    doc["chunk_id"] = 7
+    payload.write_text(json.dumps(doc))
+    argv = ["--manifest", str(sim / "manifest.json"), "--traj", str(traj), "--out", str(tmp_path / "r.tum")]
+    assert main(["refine", *argv]) == 2
+    assert "chunk_001.poses.json" in capsys.readouterr().err
+
+
 # ------------------------------------------------------- pipeline stages
 
 
@@ -135,6 +158,53 @@ def test_full_pipeline_noiseless_recovers_ground_truth(tmp_path, capsys):
     assert ate < 1e-6
     for name in ("manifest.json", "gt.tum", "stitched.tum", "refined.tum", "track.ply", "plot.svg"):
         assert (out / name).exists()
+
+
+def test_pipeline_matches_the_stages_run_by_hand(tmp_path):
+    values = ["--rounds", "2"]
+    sim = ["--track", "square", "--frames", "96", "--fps", "2", "--speed", "6", "--noise", "moderate"]
+    a, b = tmp_path / "pipeline", tmp_path / "by_hand"
+    assert main(["pipeline", *sim, *values, "--out-dir", str(a)]) == 0
+
+    def f(name):
+        return str(b / name)
+
+    for argv in (
+        ["simulate", *sim, "--out-dir", str(b)],
+        ["stitch", "--manifest", f("manifest.json"), "--out", f("stitched.tum"), "--gauges", f("gauges.txt")],
+        ["refine", "--manifest", f("manifest.json"), "--traj", f("stitched.tum"), *values,
+         "--out", f("refined.tum"), "--diagnostics", f("diagnostics.txt")],
+        ["fuse", "--manifest", f("manifest.json"), "--gauges", f("gauges.txt"), "--traj", f("refined.tum"),
+         "--out", f("track.ply")],
+        ["eval", "--est", f("refined.tum"), "--gt", f("gt.tum"), "--out", f("metrics.txt")],
+        ["plot", "--traj", f("stitched.tum"), "--traj", f("refined.tum"), "--gt", f("gt.tum"),
+         "--cloud", f("track.ply"), "--out", f("plot.svg")],
+    ):
+        assert main(argv) == 0
+    # run manifests name their own directory; every other file must match byte for byte
+    names = sorted(p.name for p in a.iterdir() if p.suffix != ".run" and p.name != "run.txt")
+    assert names == sorted(p.name for p in b.iterdir() if p.suffix != ".run" and p.name != "run.txt")
+    for name in ("stitched.tum", "gauges.txt", "refined.tum", "diagnostics.txt", "track.ply", "plot.svg"):
+        assert name in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_pipeline_flags_match_the_stage_flags():
+    """A flag pipeline shares with a stage has the stage's default, type and choices."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def flags(name):
+        return {a.dest: (a.default, a.type, a.choices, a.required) for a in sub.choices[name]._actions}
+
+    pipeline = flags("pipeline")
+    shared = 0
+    for stage in ("simulate", "refine", "fuse", "eval"):
+        for dest, spec in flags(stage).items():
+            if dest in pipeline and dest not in ("help", "config"):
+                assert spec == pipeline[dest], f"--{dest} of {stage}"
+                shared += 1
+    assert shared == 22
 
 
 def test_refine_rounds_zero_is_byte_identical(tmp_path):
