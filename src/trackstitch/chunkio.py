@@ -124,6 +124,26 @@ def write_trajectory(path, traj: Trajectory) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _numeric_rows(text: str, path: str, width: int, error):
+    """Yield ``(line, fields, values)`` for each data line of a whitespace
+    table: ``#`` comments and blank lines skipped, then the field count, the
+    float parse and finiteness checked, each failure raised as ``error``
+    with the path and the 1-based line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != width:
+            raise error(f"expected {width} fields, got {len(fields)}", path=path, line=lineno)
+        try:
+            vals = [float(f) for f in fields]
+        except ValueError as e:
+            raise error(f"non-numeric field: {e}", path=path, line=lineno)
+        if not np.all(np.isfinite(vals)):
+            raise error("non-finite field", path=path, line=lineno)
+        yield lineno, fields, vals
+
+
 def read_trajectory(path) -> Trajectory:
     path = Path(path)
     try:
@@ -132,35 +152,18 @@ def read_trajectory(path) -> Trajectory:
         raise TrajectoryFormatError(str(e), path=str(path)) from e
     timestamps: list[float] = []
     poses: list[Pose] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise TrajectoryFormatError(
-                f"expected 8 fields, got {len(fields)}", path=str(path), line=lineno
-            )
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError as e:
-            raise TrajectoryFormatError(f"non-numeric field: {e}", path=str(path), line=lineno)
-        if not np.all(np.isfinite(vals)):
-            raise TrajectoryFormatError("non-finite field", path=str(path), line=lineno)
+    for lineno, _, vals in _numeric_rows(text, str(path), 8, TrajectoryFormatError):
         t, tx, ty, tz, qx, qy, qz, qw = vals
-        norm = float(np.linalg.norm([qw, qx, qy, qz]))
-        if abs(norm - 1.0) > _QUAT_NORM_TOL:
-            raise TrajectoryFormatError(
-                f"quaternion norm {norm:.6g} outside 1 +- {_QUAT_NORM_TOL:g}",
-                path=str(path),
-                line=lineno,
-            )
+        try:
+            rotation = Rotation([qw, qx, qy, qz], atol=_QUAT_NORM_TOL)
+        except ValueError as e:
+            raise TrajectoryFormatError(str(e), path=str(path), line=lineno)
         if timestamps and t <= timestamps[-1]:
             raise TrajectoryFormatError(
                 f"timestamp {t!r} not increasing", path=str(path), line=lineno
             )
         timestamps.append(t)
-        poses.append(Pose(Rotation([qw, qx, qy, qz], atol=_QUAT_NORM_TOL), [tx, ty, tz]))
+        poses.append(Pose(rotation, [tx, ty, tz]))
     if not timestamps:
         raise TrajectoryFormatError("no samples", path=str(path))
     return Trajectory(np.array(timestamps), poses)
@@ -252,6 +255,10 @@ def read_pointcloud(path) -> PointCloudData:
                 count = int(tok[2])
             except ValueError:
                 raise PointCloudFormatError("bad vertex count", path=str(path), line=lineno)
+            if count < 0:
+                raise PointCloudFormatError(
+                    f"negative vertex count {count}", path=str(path), line=lineno
+                )
         elif tok[0] == "property":
             if len(tok) != 3 or tok[1] not in _PLY_TYPES:
                 raise PointCloudFormatError(
@@ -293,13 +300,13 @@ def read_pointcloud(path) -> PointCloudData:
     else:
         np_dtype = np.dtype([(name, _PLY_TYPES[t][0]) for t, name in props])
         need = np_dtype.itemsize * count
-        if len(body) < need:
+        if len(body) != need:
             raise PointCloudFormatError(
-                f"truncated payload: {len(body)} bytes for {count} vertices "
-                f"({need} required)",
+                f"{'truncated' if len(body) < need else 'overlong'} payload: "
+                f"{len(body)} bytes for {count} vertices ({need} required)",
                 path=str(path),
             )
-        rec = np.frombuffer(body[:need], dtype=np_dtype)
+        rec = np.frombuffer(body, dtype=np_dtype)
         columns = {name: rec[name].astype(rec[name].dtype) for name in names}
 
     points = np.column_stack([columns["x"], columns["y"], columns["z"]])
@@ -424,14 +431,9 @@ def read_chunk(poses_path, points_path) -> ChunkReconstruction:
             raise ManifestError(f"{ctx}: {e}", path=str(poses_path))
         if not np.all(np.isfinite([timestamp, *t, *q, *intr])):
             raise ManifestError(f"{ctx}: non-finite pose or intrinsics", path=str(poses_path))
-        norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > _QUAT_NORM_TOL:
-            raise ManifestError(
-                f"{ctx}: quaternion norm {norm:.6g} outside tolerance", path=str(poses_path)
-            )
         try:
-            intrinsics = Intrinsics(*intr)
             pose = Pose(Rotation(q, atol=_QUAT_NORM_TOL), t)
+            intrinsics = Intrinsics(*intr)
         except (TypeError, ValueError) as e:
             raise ManifestError(f"{ctx}: {e}", path=str(poses_path))
         frames.append(
@@ -619,20 +621,12 @@ def read_gauges(path) -> list[Sim3Transform]:
     except OSError as e:
         raise ManifestError(str(e), path=str(path)) from e
     out: dict[int, Sim3Transform] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 9:
-            raise ManifestError(f"expected 9 fields, got {len(fields)}", path=str(path), line=lineno)
+    for lineno, fields, vals in _numeric_rows(text, str(path), 9, ManifestError):
         try:
             k = int(fields[0])
-            s, tx, ty, tz, qx, qy, qz, qw = (float(v) for v in fields[1:])
         except ValueError as e:
             raise ManifestError(f"non-numeric field: {e}", path=str(path), line=lineno)
-        if not np.all(np.isfinite([s, tx, ty, tz, qx, qy, qz, qw])):
-            raise ManifestError("non-finite field", path=str(path), line=lineno)
+        s, tx, ty, tz, qx, qy, qz, qw = vals[1:]
         if k in out:
             raise ManifestError(f"duplicate chunk id {k}", path=str(path), line=lineno)
         try:

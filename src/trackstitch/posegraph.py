@@ -7,17 +7,19 @@ transform of one frame in another frame's coordinates:
 - intra edges come from chunk-local odometry (consecutive frames plus short
   skip pairs) and are exact at the stitched initialization by construction;
 - cross edges are measured between keyframes of different chunks by
-  registering their point clouds, re-sampled every refinement round;
+  registering their point clouds (refining where one keyframe's points sit
+  in the global frame), re-sampled every refinement round;
 - loop edges are cross-chunk closures proposed geometrically and validated
   by the same point registration.
 
 Node states live on Sim(3) so per-chunk scale error can be corrected; the
 scale component of every residual is softly pinned, which keeps the extra
 degree of freedom well conditioned.  Optimization is Levenberg-Marquardt on
-the 7-vector residual log(M^-1 X_i^-1 X_j) with a Huber kernel, solved over
-a sparse normal system.  A keyframes-only level optimizes a reduced graph
-and re-anchors the remaining frames by their chunk-local offset from the
-nearest preceding keyframe.
+the 7-vector residual log(M^-1 X_i^-1 X_j) with a Huber kernel: each
+iteration fills one sparse Jacobian J (a 7x7 block per free endpoint of an
+edge) and solves the damped normal equations of J^T W J.  A keyframes-only
+level optimizes a reduced graph and re-anchors the remaining frames by
+their chunk-local offset from the nearest preceding keyframe.
 """
 
 from __future__ import annotations
@@ -334,38 +336,33 @@ def _mutual_matches(tree_a, ga, gb, radius):
 _COARSE_RADII = (12.0, 6.0, 3.0, 1.5, 0.75)
 
 
-def _coarse_initial(a, a_inv, tree_a, ga, pts_b, lift_b_inv, seeds):
+def _coarse_initial(tree_a, ga, pts_b, seeds):
     """Pre-align b against a so the strict matcher has a fighting chance.
 
-    Mutual matching at 0.5 m cannot absorb multi-meter misalignment, so
-    every seed (a candidate relative of b in a) is polished coarse to fine
-    first: mutual nearest neighbors at a shrinking radius, refit by a
-    similarity at each level.  Returns the polished relative with the most
-    matches at the strict radius together with b's points lifted by it, or
-    None if every seed loses the point clouds.
+    Each seed is a placement: a map of b's chunk-local points into the
+    global frame of a's points ``ga``.  Mutual matching at 0.5 m cannot
+    absorb multi-meter misalignment, so every placement is polished coarse
+    to fine first: mutual nearest neighbors at a shrinking radius, refit by
+    a similarity at each level.  Returns the polished placement with the
+    most matches at the strict radius together with b's points under it,
+    or None if every seed loses the point clouds.
     """
     best: tuple[int, Sim3Transform, np.ndarray] | None = None
-    for seed in seeds:
-        cur = seed
-        lost = False
+    for place in seeds:
         for radius in _COARSE_RADII:
-            gb = a.pose.compose(cur).compose(lift_b_inv).apply(pts_b)
+            gb = place.apply(pts_b)
             bi, ai = _mutual_matches(tree_a, ga, gb, radius)
             if len(bi) < 4:
-                lost = True
                 break
             try:
-                fit = umeyama(gb[bi], ga[ai])
+                place = umeyama(gb[bi], ga[ai]).compose(place)
             except DegenerateAlignmentError:
-                lost = True
                 break
-            cur = a_inv.compose(fit).compose(a.pose).compose(cur)
-        if lost:
-            continue
-        gb = a.pose.compose(cur).compose(lift_b_inv).apply(pts_b)
-        bi, _ = _mutual_matches(tree_a, ga, gb, _MATCH_RADIUS)
-        if best is None or len(bi) > best[0]:
-            best = (len(bi), cur, gb)
+        else:
+            gb = place.apply(pts_b)
+            bi, _ = _mutual_matches(tree_a, ga, gb, _MATCH_RADIUS)
+            if best is None or len(bi) > best[0]:
+                best = (len(bi), place, gb)
     return None if best is None else best[1:]
 
 
@@ -377,15 +374,17 @@ def measure_relative(
 ) -> RelativeMeasurement:
     """Register b's points against a's to measure the relative Sim(3).
 
-    A coarse-to-fine mutual-nearest-neighbor similarity ICP.  a's points
-    are carried into the global frame by its current estimate.  Seeds for
-    b's placement are the current relative estimate plus collocation
-    hypotheses at the given along-view offsets (a revisit on a track
-    differs mostly in where along the lane it sits); the coarse stage
-    polishes each and keeps the best.  The strict stage then fits mutual
-    nearest neighbors within 0.5 m by a similarity, re-associating five
-    times.  Needs at least 50 matches and 30% overlap; the edge weight
-    grows with match count and saturates.
+    A coarse-to-fine mutual-nearest-neighbor similarity ICP that refines
+    where b's chunk-local points sit in the global frame, against a's
+    points carried there by a's current estimate.  Seeds are b's current
+    placement ``b.pose * lift_b^-1`` plus collocation hypotheses
+    ``a.pose * T(0, 0, d) * lift_b^-1`` at the given along-view offsets d (a
+    revisit on a track differs mostly in where along the lane it sits); the
+    coarse stage polishes each and keeps the best.  The strict stage then
+    fits mutual nearest neighbors within 0.5 m by a similarity,
+    re-associating five times, and the relative is read off once as
+    ``a.pose^-1 * fit * place * lift_b``.  Needs at least 50 matches and
+    30% overlap; the edge weight grows with match count and saturates.
     """
     rec_a = chunks[a.chunk_id].frame_map()[a.frame]
     rec_b = chunks[b.chunk_id].frame_map()[b.frame]
@@ -394,17 +393,16 @@ def measure_relative(
         return RelativeMeasurement(None, 0, 0.0, 0.0, "too-few-matches")
     ga = a.pose.compose(Sim3Transform.from_pose(rec_a.pose).inverse()).apply(pts_a)
     tree_a = cKDTree(ga)
-    lift_b_inv = Sim3Transform.from_pose(rec_b.pose).inverse()
-    a_inv = a.pose.inverse()
-    seeds = [a_inv.compose(b.pose)]
-    seeds.extend(
-        Sim3Transform(1.0, Rotation.identity(), np.array([0.0, 0.0, float(d)]))
-        for d in offsets
-    )
-    coarse = _coarse_initial(a, a_inv, tree_a, ga, pts_b, lift_b_inv, seeds)
+    lift_b = Sim3Transform.from_pose(rec_b.pose)
+    lift_b_inv = lift_b.inverse()
+    seeds = [b.pose.compose(lift_b_inv)]
+    for d in offsets:
+        along = Sim3Transform(1.0, Rotation.identity(), [0.0, 0.0, float(d)])
+        seeds.append(a.pose.compose(along).compose(lift_b_inv))
+    coarse = _coarse_initial(tree_a, ga, pts_b, seeds)
     if coarse is None:
         return RelativeMeasurement(None, 0, 0.0, 0.0, "too-few-matches")
-    initial, gb = coarse
+    place, gb = coarse
     fit = Sim3Transform.identity()
     matches = 0
     for _ in range(_MEASURE_ITERATIONS):
@@ -421,9 +419,7 @@ def measure_relative(
         return RelativeMeasurement(None, matches, overlap, 0.0, "too-few-matches")
     if overlap < _MIN_OVERLAP:
         return RelativeMeasurement(None, matches, overlap, 0.0, "low-overlap")
-    # corrected placement of b implies the measured relative transform
-    corrected_b = fit.compose(a.pose.compose(initial))
-    transform = a_inv.compose(corrected_b)
+    transform = a.pose.inverse().compose(fit).compose(place).compose(lift_b)
     weight = min(matches, _WEIGHT_CAP) / _WEIGHT_CAP
     return RelativeMeasurement(transform, matches, overlap, weight)
 
@@ -741,14 +737,25 @@ def optimize(
     weight = np.array([e.weight for e in edges])
     delta = np.array([e.kernel_scale * math.sqrt(w[3]) for e, w in zip(edges, weight)])
 
-    col = {index[f]: c for c, f in enumerate(free)}
     free_idx = np.array([index[f] for f in free])
     n_free = len(free)
+    col = np.full(len(frames), -1)
+    col[free_idx] = np.arange(n_free)
+
+    # sparsity of the Jacobian: 7 rows per edge, a 7x7 block under each free
+    # endpoint; the edge's two blocks are stacked as (edge, endpoint i | j)
+    ends = np.stack([col[ia], col[ja]], axis=1)
+    free_end = ends >= 0
+    block = np.arange(7)
+    rows, cols = np.broadcast_arrays(
+        7 * np.arange(len(edges))[:, None, None, None] + block[:, None],
+        7 * ends[:, :, None, None] + block,
+    )
+    rows, cols = rows[free_end].ravel(), cols[free_end].ravel()
 
     def eval_cost(qc, tc, sc):
         _, _, r = _residuals(qc, tc, sc, ia, ja, mq, mt, ms)
-        cost, w_rob = _robust(r, weight, delta)
-        return float(cost.sum()), r, w_rob
+        return float(_robust(r, weight, delta)[0].sum())
 
     def dump(extra):
         return {
@@ -759,7 +766,7 @@ def optimize(
         }
 
     try:
-        total, r, w_rob = eval_cost(q, t, s)
+        total = eval_cost(q, t, s)
     except ValueError as exc:
         raise OptimizerDiverged("residual left the principal branch", dump({})) from exc
     if not np.isfinite(total):
@@ -770,53 +777,21 @@ def optimize(
     lam = _LAMBDA_INIT
     it_run = 0
 
-    i_free = np.isin(ia, free_idx)
-    j_free = np.isin(ja, free_idx)
-    col_i = np.array([col.get(x, -1) for x in ia])
-    col_j = np.array([col.get(x, -1) for x in ja])
-
     for _ in range(iterations):
         it_run += 1
         # linearize with right-multiplicative updates X <- X exp(delta):
         # J_j = Jr^-1(r), J_i = -Jr^-1(r) Ad((X_i^-1 X_j)^-1)
         rel, err, r = _residuals(q, t, s, ia, ja, mq, mt, ms)
         _, w_rob = _robust(r, weight, delta)
-        jr = _inv_right_jacobian(*err)
-        jj = jr
-        ji = -(jr @ sim3_adjoint(*sim3_inverse(*rel)))
-        wdiag = weight * w_rob[:, None]
-        wr = wdiag * r
-
-        rows, cols, vals = [], [], []
-        g = np.zeros(7 * n_free)
-        gm = g.reshape(n_free, 7)
-        block = np.arange(7)
-
-        def add_block(rcol, ccol, mat):
-            rr = (7 * rcol[:, None, None] + block[None, :, None]).repeat(7, axis=2)
-            cc = (7 * ccol[:, None, None] + block[None, None, :]).repeat(7, axis=1)
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(mat.ravel())
-
-        for jmat, colv, sel in ((ji, col_i, i_free), (jj, col_j, j_free)):
-            if not sel.any():
-                continue
-            wj = wdiag[sel, :, None] * jmat[sel]
-            add_block(colv[sel], colv[sel], np.einsum("eki,ekj->eij", jmat[sel], wj))
-            np.add.at(gm, colv[sel], -np.einsum("eki,ek->ei", jmat[sel], wr[sel]))
-        both = i_free & j_free
-        if both.any():
-            cross = np.einsum(
-                "eki,ekj->eij", ji[both], wdiag[both, :, None] * jj[both]
-            )
-            add_block(col_i[both], col_j[both], cross)
-            add_block(col_j[both], col_i[both], cross.transpose(0, 2, 1))
-
-        h = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(7 * n_free, 7 * n_free),
+        jj = _inv_right_jacobian(*err)
+        ji = -(jj @ sim3_adjoint(*sim3_inverse(*rel)))
+        jac = coo_matrix(
+            (np.stack([ji, jj], axis=1)[free_end].ravel(), (rows, cols)),
+            shape=(7 * len(edges), 7 * n_free),
         ).tocsr()
+        w = (weight * w_rob[:, None]).ravel()
+        h = (jac.T @ diags(w) @ jac).tocsr()
+        g = -(jac.T @ (w * r.ravel()))
 
         accepted = False
         hdiag = h.diagonal()
@@ -833,7 +808,7 @@ def optimize(
                 q[free_idx], t[free_idx], s[free_idx], dq, dt, ds
             )
             try:
-                new_total, _, _ = eval_cost(q2, t2, s2)
+                new_total = eval_cost(q2, t2, s2)
             except ValueError:
                 lam *= _LAMBDA_GROW
                 continue

@@ -196,6 +196,7 @@ def _ply_ascii(props, rows):
         (_ply_ascii(["x", "y", "z", "nx"], ["0 0 0 0"]), "unknown element layout"),
         (_ply_ascii(["x", "y", "z", "u"], ["0 0 0 0"]), "unknown element layout"),
         (_ply_ascii(["x", "y", "z"], ["0 0 0", "1 1 1"]).replace("vertex 2", "vertex 3"), "expected 3 vertex rows"),
+        (_ply_ascii(["x", "y", "z"], ["0 0 0"]).replace("vertex 1", "vertex -1"), "negative vertex count"),
         (_ply_ascii(["x", "y", "z"], ["0 0 oops"]), "non-numeric"),
         (_ply_ascii(["x", "y", "z"], ["0 0 0 7"]), "4 fields"),
         ("ply\nformat ascii 1.0\nelement face 2\nend_header\n", "unsupported element"),
@@ -467,6 +468,26 @@ def _nan_binary_ply(tmp_path):
     return lambda: read_pointcloud(p)
 
 
+def _edited_binary_ply(edit):
+    def make(tmp_path):
+        p = tmp_path / "p.ply"
+        write_pointcloud(p, PointCloudData(np.arange(30.0).reshape(10, 3)), binary=True)
+        p.write_bytes(edit(p.read_bytes()))
+        return lambda: read_pointcloud(p)
+
+    return make
+
+
+def _edited_chunk_cloud(edit):
+    def make(tmp_path):
+        poses_p, pts_p = tmp_path / "c.json", tmp_path / "c.ply"
+        write_chunk(_small_chunk(np.random.default_rng(18)), poses_p, pts_p)
+        pts_p.write_bytes(edit(pts_p.read_bytes()))
+        return lambda: read_chunk(poses_p, pts_p)
+
+    return make
+
+
 def _edited_manifest(edit):
     def make(tmp_path):
         mpath, *_ = _write_full_manifest(tmp_path, np.random.default_rng(26))
@@ -518,6 +539,22 @@ def _edited_chunk(edit):
             PointCloudFormatError, "non-finite x", id="ply-ascii-nan",
         ),
         pytest.param(_nan_binary_ply, PointCloudFormatError, "non-finite y", id="ply-binary-nan"),
+        pytest.param(
+            _edited_binary_ply(lambda b: b.replace(b"vertex 10\n", b"vertex -1\n")),
+            PointCloudFormatError, "negative vertex count", id="ply-binary-count-minus-one",
+        ),
+        pytest.param(
+            _edited_binary_ply(lambda b: b.replace(b"vertex 10\n", b"vertex -10\n")),
+            PointCloudFormatError, "negative vertex count", id="ply-binary-count-minus-ten",
+        ),
+        pytest.param(
+            _edited_binary_ply(lambda b: b + bytes(8)), PointCloudFormatError, "overlong payload",
+            id="ply-binary-trailing-bytes",
+        ),
+        pytest.param(
+            _edited_chunk_cloud(lambda b: b + bytes(24)), PointCloudFormatError, "overlong payload",
+            id="chunk-cloud-trailing-bytes",
+        ),
         pytest.param(
             _edited_chunk(lambda d: d.update(frames=5)), ManifestError, "frames must be a list",
             id="chunk-frames-number",
@@ -629,6 +666,7 @@ def test_gauges_round_trip(tmp_path):
         ("0 1.0 0 0 0 0 0 0 1\n0 1.0 0 0 0 0 0 0 1\n", "duplicate chunk id"),
         ("1 1.0 0 0 0 0 0 0 1\n", "contiguous"),
         ("0 -2.0 0 0 0 0 0 0 1\n", "scale"),
+        ("0 1.0 0 0 0 0 0 0 0.5\n", "quaternion norm"),
     ],
 )
 def test_gauges_malformed(tmp_path, content, needle):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trackstitch
 from trackstitch.chunkio import Trajectory, read_trajectory, write_trajectory
 from trackstitch.cli import _build_parser, main
 from trackstitch.evaluation import endpoint_gap
@@ -337,7 +338,10 @@ def test_run_manifest_reproduces_the_run(tmp_path):
 def test_thread_cap_env_var(tmp_path):
     sim = _simulate(tmp_path)
     traj, _ = _stitch(sim)
-    env = dict(os.environ, TRACKSTITCH_THREADS="1")
+    # the child imports trackstitch from the same sources as this process
+    src = str(Path(trackstitch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TRACKSTITCH_THREADS="1", PYTHONPATH=pythonpath)
     r = subprocess.run(
         [sys.executable, "-m", "trackstitch.cli", "eval", "--est", str(traj),
          "--gt", str(sim / "gt.tum"), "--delta", "4"],

@@ -10,7 +10,16 @@ import pytest
 
 from trackstitch.chunkio import ChunkReconstruction, FrameRecord, Intrinsics
 from trackstitch.errors import OptimizerDiverged
-from trackstitch.geometry import Pose, Rotation, Sim3Transform, sim3_log
+from trackstitch.geometry import (
+    Pose,
+    Rotation,
+    Sim3Transform,
+    sim3_adjoint,
+    sim3_compose,
+    sim3_exp,
+    sim3_inverse,
+    sim3_log,
+)
 from trackstitch.posegraph import (
     FrameNode,
     GraphEdge,
@@ -26,6 +35,8 @@ from trackstitch.posegraph import (
     sample_cross_edges,
     select_keyframes,
     _intra_measurement,
+    _inv_right_jacobian,
+    _residuals,
 )
 from trackstitch.preprocess import VideoMeta, plan_fixed_chunks
 from trackstitch.sim import make_track, square, synth_chunks
@@ -246,6 +257,23 @@ def test_measure_relative_offset_seed_recovers_displaced_pair():
     assert unseeded.reason == "too-few-matches"
 
 
+def test_measure_relative_invariant_to_rigid_regauge():
+    # the displaced slab of the offset-seed case: only a collocation seed
+    # reaches it, so both seed kinds must move with the gauge
+    rng = np.random.default_rng(23)
+    slab = rng.uniform([-15.0, -15.0, -3.0], [15.0, 15.0, 3.0], size=(320, 3))
+    true_rel = Sim3Transform(1.02, Rotation.exp([0.0, 0.01, 0.02]), [0.3, -0.2, 20.6])
+    a, b, chunks = _measure_fixture(true_rel, Sim3Transform.identity(), pts=slab)
+    offsets = np.arange(-25.0, 25.0 + 1e-9, 2.5)
+    before = measure_relative(a, b, chunks, offsets=offsets)
+    gauge = Sim3Transform(1.0, Rotation.exp([0.4, -0.7, 1.1]), [35.0, -12.0, 8.0])
+    a.pose, b.pose = gauge.compose(a.pose), gauge.compose(b.pose)
+    after = measure_relative(a, b, chunks, offsets=offsets)
+    assert before.ok and after.ok
+    assert after.num_matches == before.num_matches
+    assert np.max(np.abs(after.transform.matrix - before.transform.matrix)) < 1e-9
+
+
 def test_measure_relative_disjoint_rejected():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-15.0, 15.0, size=(320, 3))
@@ -430,6 +458,68 @@ def test_optimize_keyframes_level_preserves_anchored_relatives():
             assert np.linalg.norm(node.pose.translation - expected.translation) < 1e-10
             assert node.pose.rotation.angle_to(expected.rotation) < 1e-10
             assert abs(node.pose.scale - expected.scale) < 1e-10
+
+
+def test_optimize_step_matches_dense_reference():
+    # one LM step against J^T W J built densely here: a fixed node (0), a
+    # frozen node (1), edges with two, one and zero free endpoints, and a
+    # loop edge measured 3 m off, beyond its Huber width
+    rng = np.random.default_rng(41)
+    truth = [
+        Sim3Transform(1.0 + 0.05 * k, Rotation.exp([0.0, 0.0, 0.3 * k]), [4.0 * k, k**2, 0.0])
+        for k in range(5)
+    ]
+    g = PoseGraph()
+    for k, pose in enumerate(truth):
+        if k >= 2:
+            pose = pose.compose(Sim3Transform.exp(rng.normal(scale=0.02, size=7)))
+        g.add_node(FrameNode(k, 0, float(k), pose, fixed=k == 0))
+    info = np.array([4e4] * 3 + [400.0] * 3 + [1e4])
+    for i, j, kind, off in [(0, 1, "intra", 0.0), (0, 2, "intra", 0.0), (1, 3, "cross", 0.0),
+                            (2, 3, "intra", 0.0), (3, 4, "intra", 0.0), (2, 4, "loop", 3.0)]:
+        meas = truth[i].inverse().compose(truth[j])
+        meas = Sim3Transform(meas.scale, meas.rotation, meas.translation + [off, 0.0, 0.0])
+        g.add_edge(GraphEdge(i, j, meas, info * (1.0 + 0.1 * j), kind))
+
+    free = [2, 3, 4]
+    q = np.array([g.nodes[f].pose.rotation.wxyz for f in range(5)])
+    t = np.array([g.nodes[f].pose.translation for f in range(5)])
+    s = np.array([g.nodes[f].pose.scale for f in range(5)])
+    ia = np.array([e.i for e in g.edges])
+    ja = np.array([e.j for e in g.edges])
+    mq = np.array([e.measurement.rotation.wxyz for e in g.edges])
+    mt = np.array([e.measurement.translation for e in g.edges])
+    ms = np.array([e.measurement.scale for e in g.edges])
+    weight = np.array([e.weight for e in g.edges])
+    rel, err, r = _residuals(q, t, s, ia, ja, mq, mt, ms)
+    e_norm = np.sqrt(np.einsum("ek,ek,ek->e", r, weight, r))
+    width = np.sqrt(weight[:, 3])  # kernel_scale 1 m in whitened units
+    assert e_norm[-1] > width[-1] and np.all(e_norm[:-1] < width[:-1])
+    huber = width / np.maximum(e_norm, width)
+    jj = _inv_right_jacobian(*err)
+    ji = -(jj @ sim3_adjoint(*sim3_inverse(*rel)))
+    jac = np.zeros((7 * len(g.edges), 7 * len(free)))
+    for k in range(len(g.edges)):
+        for node, block in ((ia[k], ji[k]), (ja[k], jj[k])):
+            if node in free:
+                c = free.index(node)
+                jac[7 * k : 7 * k + 7, 7 * c : 7 * c + 7] = block
+    w = (weight * huber[:, None]).ravel()
+    h = jac.T @ (w[:, None] * jac)
+    grad = -jac.T @ (w * r.ravel())
+    d = np.where(np.diag(h) > 0.0, np.diag(h), 1.0)
+    step = np.linalg.solve(h + 1e-4 * np.diag(d), grad)
+    eq, et, es = sim3_compose(q[free], t[free], s[free], *sim3_exp(step.reshape(-1, 7)))
+
+    result = optimize(g, iterations=1, level="all-frames", freeze=(1,))
+    assert result.iterations == 1 and len(result.trace) == 2
+    for k in (0, 1):
+        assert g.nodes[k].pose.translation.tolist() == t[k].tolist()
+    for n, f in enumerate(free):
+        pose = g.nodes[f].pose
+        assert np.max(np.abs(pose.translation - et[n])) < 1e-9
+        assert np.max(np.abs(pose.rotation.wxyz - eq[n] / np.linalg.norm(eq[n]))) < 1e-9
+        assert abs(pose.scale - es[n]) < 1e-9
 
 
 def test_optimize_rejects_unknown_level():
